@@ -52,10 +52,13 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.particles import ParticleArrays
-from repro.core.permutation import apply_permutation
+from repro.core.particles import ParticleArrays, ScratchBuffers
 from repro.errors import ConfigurationError
 from repro.rng import random_signs
+
+#: Pairs per block of the collision core: its pooled temporaries are
+#: sized by this, not by the number of colliding pairs.
+BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -83,8 +86,8 @@ def collide_pairs(
         The population (velocities, rotational state and permutation
         vectors are updated in place).
     first, second:
-        Sorted addresses of the colliding pairs (the accepted candidate
-        pairs from the selection rule).
+        Disjoint addresses of the colliding pairs (the accepted
+        candidate pairs from the selection rule).
     rng:
         Source for the random signs and the permutation-refresh
         transpositions when they are not supplied explicitly.
@@ -109,158 +112,13 @@ def collide_pairs(
     b = np.asarray(second)
     if a.shape != b.shape:
         raise ConfigurationError("first/second shapes differ")
-    n = a.shape[0]
-    k = 3 + particles.rotational_dof
-    if n == 0:
+    if a.shape[0] == 0:
         return CollisionStats(n_collisions=0, energy_exchanged=0.0)
-
-    # Means (conserved) and half-relatives (eqs. (12)-(15)).
-    wu = 0.5 * (particles.u[a] + particles.u[b])
-    wv = 0.5 * (particles.v[a] + particles.v[b])
-    ww = 0.5 * (particles.w[a] + particles.w[b])
-    smean = 0.5 * (particles.rot[a] + particles.rot[b])
-
-    h = np.empty((n, k))
-    h[:, 0] = 0.5 * (particles.u[a] - particles.u[b])
-    h[:, 1] = 0.5 * (particles.v[a] - particles.v[b])
-    h[:, 2] = 0.5 * (particles.w[a] - particles.w[b])
-    h[:, 3:] = 0.5 * (particles.rot[a] - particles.rot[b])
-
-    # Re-order by the first partner's permutation vector ("which one
-    # gets used is inconsequential") and apply random signs.
-    h_new = _mixed_half_relatives(
-        h, particles.perm[a], rng, signs, internal_exchange_probability, k
+    return _collide(
+        particles, _pool(particles), a, b, [], [],
+        rng, signs, transpositions, internal_exchange_probability,
+        in_place=False,
     )
-
-    e_trans_before = h[:, 0] ** 2 + h[:, 1] ** 2 + h[:, 2] ** 2
-
-    # Reconstruct post-collision states (momentum: mean +- relative).
-    particles.u[a] = wu + h_new[:, 0]
-    particles.u[b] = wu - h_new[:, 0]
-    particles.v[a] = wv + h_new[:, 1]
-    particles.v[b] = wv - h_new[:, 1]
-    particles.w[a] = ww + h_new[:, 2]
-    particles.w[b] = ww - h_new[:, 2]
-    particles.rot[a] = smean + h_new[:, 3:]
-    particles.rot[b] = smean - h_new[:, 3:]
-
-    e_trans_after = h_new[:, 0] ** 2 + h_new[:, 1] ** 2 + h_new[:, 2] ** 2
-
-    # Refresh both partners' permutation vectors with one random
-    # transposition each (the Aldous-Diaconis shuffle step).
-    if transpositions is None:
-        if rng is None:
-            raise ConfigurationError("need rng or explicit transpositions")
-        transpositions = rng.integers(0, k, size=2 * n)
-    else:
-        transpositions = np.asarray(transpositions)
-        if transpositions.shape != (2 * n,):
-            raise ConfigurationError("need 2 * n_pairs transposition draws")
-    _transpose_rows(particles.perm, a, transpositions[:n])
-    _transpose_rows(particles.perm, b, transpositions[n:])
-
-    return CollisionStats(
-        n_collisions=n,
-        energy_exchanged=float(np.abs(e_trans_after - e_trans_before).sum()),
-    )
-
-
-def _mixed_half_relatives(
-    h: np.ndarray,
-    perm_rows: np.ndarray,
-    rng: Optional[np.random.Generator],
-    signs: Optional[np.ndarray],
-    internal_exchange_probability: float,
-    k: int,
-) -> np.ndarray:
-    """The eq. (18) shuffle: permute half-relatives, apply random signs.
-
-    Shared by the gather/scatter and adjacent-pair collision kernels so
-    the physics cannot diverge between them.
-    """
-    n = h.shape[0]
-    h_new = apply_permutation(h, perm_rows)
-    if signs is None:
-        if rng is None:
-            raise ConfigurationError("need rng or explicit signs")
-        signs = random_signs(rng, (n, k))
-    else:
-        signs = np.asarray(signs)
-        if signs.shape != (n, k):
-            raise ConfigurationError(f"signs must have shape {(n, k)}")
-    np.multiply(h_new, signs, out=h_new, casting="unsafe")
-
-    if internal_exchange_probability < 1.0:
-        if rng is None:
-            raise ConfigurationError(
-                "internal_exchange_probability < 1 requires rng"
-            )
-        frozen = rng.random(n) >= internal_exchange_probability
-        if np.any(frozen):
-            nf = int(np.count_nonzero(frozen))
-            # Translational-only outcome: permute the 3 translational
-            # half-relatives among themselves (uniform 3-permutation),
-            # apply fresh signs, keep internal components untouched.
-            trans_perm = np.argsort(rng.random((nf, 3)), axis=1)
-            rows = np.arange(nf)[:, None]
-            h_trans = h[frozen][:, :3][rows, trans_perm]
-            h_trans *= random_signs(rng, (nf, 3))
-            h_new[frozen, :3] = h_trans
-            h_new[frozen, 3:] = h[frozen, 3:]
-    return h_new
-
-
-def _mixed_half_relatives_t(
-    ht: np.ndarray,
-    perm_rows: np.ndarray,
-    rng: Optional[np.random.Generator],
-    signs: Optional[np.ndarray],
-    internal_exchange_probability: float,
-    k: int,
-) -> np.ndarray:
-    """Transposed-layout eq. (18) shuffle: ``ht`` is ``(k, n_pairs)``.
-
-    Elementwise identical to :func:`_mixed_half_relatives` on the
-    transpose (``out[j, i] == _mixed_half_relatives(h, ...)[i, j]``)
-    with the *same RNG consumption order* -- the signs are still drawn
-    as an ``(n, k)`` block, the frozen-pair draws are unchanged -- so
-    swapping a kernel to the transposed layout is bitwise invisible.
-    The component-major layout makes every downstream per-component
-    read (``ht[j]``) a contiguous row instead of a strided column,
-    which is where the memory-bound collision phase spends its time.
-    """
-    n = ht.shape[1]
-    # Flattened gather out[j, i] = ht[perm[i, j], i]: flat position
-    # perm[i, j] * n + i, one 1-D take over the (k, n) block.
-    idx = perm_rows.T.astype(np.intp)
-    idx *= n
-    idx += np.arange(n, dtype=np.intp)
-    htn = np.take(ht.reshape(-1), idx)
-    if signs is None:
-        if rng is None:
-            raise ConfigurationError("need rng or explicit signs")
-        signs = random_signs(rng, (n, k))
-    else:
-        signs = np.asarray(signs)
-        if signs.shape != (n, k):
-            raise ConfigurationError(f"signs must have shape {(n, k)}")
-    np.multiply(htn, signs.T, out=htn, casting="unsafe")
-
-    if internal_exchange_probability < 1.0:
-        if rng is None:
-            raise ConfigurationError(
-                "internal_exchange_probability < 1 requires rng"
-            )
-        frozen = rng.random(n) >= internal_exchange_probability
-        if np.any(frozen):
-            nf = int(np.count_nonzero(frozen))
-            trans_perm = np.argsort(rng.random((nf, 3)), axis=1)
-            rows = np.arange(nf)[:, None]
-            h_trans = ht[:3, frozen].T[rows, trans_perm]
-            h_trans *= random_signs(rng, (nf, 3))
-            htn[:3, frozen] = h_trans.T
-            htn[3:, frozen] = ht[3:, frozen]
-    return htn
 
 
 def collide_adjacent_pairs(
@@ -274,130 +132,40 @@ def collide_adjacent_pairs(
     """Collide pairs of *adjacent* rows ``(2i, 2i+1)``, in place.
 
     After the cell sort, even/odd pairing makes every collision pair a
-    pair of adjacent addresses, so the pair's state lives in one
-    contiguous two-row block.  Viewing each column as ``(n_pairs, 2)``
-    turns the generic kernel's two scattered gathers per column into a
-    single contiguous-row gather (and the write-back into one scatter),
-    roughly halving the collision phase's memory traffic.
+    pair of adjacent addresses.  ``pair_index`` holds the indices ``i``
+    of the accepted pairs, collided as rows ``(2i, 2i+1)`` by
+    :func:`collide_pairs`; ``None`` means *all* ``n // 2`` formed
+    pairs collide (the reservoir mix after an in-place re-pairing
+    shuffle), which needs no gathers at all -- the kernel reads and
+    writes strided views of the particle columns.
 
-    ``pair_index`` holds the indices ``i`` of the accepted pairs;
-    ``None`` means *all* ``n // 2`` formed pairs collide (the reservoir
-    mix after an in-place re-pairing shuffle), which needs no gathers
-    at all -- the kernel runs on strided views.
-
-    Physics identical to :func:`collide_pairs` (shared mixing helper);
-    the equivalence is pinned by a unit test.
+    Physics identical to :func:`collide_pairs`; the equivalence is
+    pinned by a unit test.
     """
-    n_all = particles.n // 2
-    rdof = particles.rotational_dof
-    k = 3 + rdof
+    pool = _pool(particles)
     if pair_index is None:
-        m = n_all
-    else:
-        pair_index = np.asarray(pair_index)
-        m = pair_index.shape[0]
+        m = particles.n // 2
+        if m == 0:
+            return CollisionStats(n_collisions=0, energy_exchanged=0.0)
+        rows = pool.arange(2 * m)
+        cols = _columns(particles)
+        return _collide(
+            particles, pool, rows[0::2], rows[1::2],
+            [col[0 : 2 * m : 2] for col in cols],
+            [col[1 : 2 * m : 2] for col in cols],
+            rng, signs, transpositions, internal_exchange_probability,
+            in_place=True,
+        )
+    pair_index = np.asarray(pair_index)
+    m = pair_index.shape[0]
     if m == 0:
         return CollisionStats(n_collisions=0, energy_exchanged=0.0)
-
-    u, v, w, rot = particles.u, particles.v, particles.w, particles.rot
-    rot_flat = rot.reshape(-1) if rot.flags.c_contiguous else None
-    if pair_index is None:
-        # All pairs: the partner state is readable through strided
-        # views -- no gathers at all (the reservoir-mix configuration,
-        # where a physical shuffle already made every pair adjacent).
-        a = np.arange(0, 2 * n_all, 2, dtype=np.intp)
-        b = a + 1  # only the permutation refresh indexes through b
-        u0, u1 = u[0 : 2 * n_all : 2], u[1 : 2 * n_all : 2]
-        v0, v1 = v[0 : 2 * n_all : 2], v[1 : 2 * n_all : 2]
-        w0, w1 = w[0 : 2 * n_all : 2], w[1 : 2 * n_all : 2]
-        r0, r1 = rot[0 : 2 * n_all : 2], rot[1 : 2 * n_all : 2]
-        r0c = [r0[:, j] for j in range(rdof)]
-        r1c = [r1[:, j] for j in range(rdof)]
-    else:
-        # Accepted subset: 1-D takes per partner are the fastest gather
-        # NumPy offers (fancy row indexing is ~5x slower).
-        a = pair_index * 2
-        b = a + 1
-        u0, u1 = np.take(u, a), np.take(u, b)
-        v0, v1 = np.take(v, a), np.take(v, b)
-        w0, w1 = np.take(w, a), np.take(w, b)
-        r0, r1 = np.take(rot, a, axis=0), np.take(rot, b, axis=0)
-        r0c = [r0[:, j] for j in range(rdof)]
-        r1c = [r1[:, j] for j in range(rdof)]
-        if rot_flat is not None:
-            ar = a * rdof
-            br = b * rdof
-
-    # Means (conserved) and half-relatives (eqs. (12)-(15)), built
-    # component-major: every per-component slice below is a contiguous
-    # row, not a strided column.
-    wu = 0.5 * (u0 + u1)
-    wv = 0.5 * (v0 + v1)
-    ww = 0.5 * (w0 + w1)
-    smean = np.empty((rdof, m))
-    ht = np.empty((k, m))
-    np.subtract(u0, u1, out=ht[0])
-    np.subtract(v0, v1, out=ht[1])
-    np.subtract(w0, w1, out=ht[2])
-    for j in range(rdof):
-        np.add(r0c[j], r1c[j], out=smean[j])
-        np.subtract(r0c[j], r1c[j], out=ht[3 + j])
-    ht *= 0.5
-    smean *= 0.5
-
-    htn = _mixed_half_relatives_t(
-        ht, np.take(particles.perm, a, axis=0), rng, signs,
-        internal_exchange_probability, k,
-    )
-
-    e_trans_before = ht[0] ** 2 + ht[1] ** 2 + ht[2] ** 2
-
-    # Reconstruct post-collision states (momentum: mean +- relative);
-    # 1-D fancy scatters per partner (or the strided views directly).
-    if pair_index is None:
-        u0[:] = wu + htn[0]
-        u1[:] = wu - htn[0]
-        v0[:] = wv + htn[1]
-        v1[:] = wv - htn[1]
-        w0[:] = ww + htn[2]
-        w1[:] = ww - htn[2]
-        for j in range(rdof):
-            r0c[j][:] = smean[j] + htn[3 + j]
-            r1c[j][:] = smean[j] - htn[3 + j]
-    else:
-        u[a] = wu + htn[0]
-        u[b] = wu - htn[0]
-        v[a] = wv + htn[1]
-        v[b] = wv - htn[1]
-        w[a] = ww + htn[2]
-        w[b] = ww - htn[2]
-        if rot_flat is not None:
-            # Flat 1-D scatters replace the 2-D fancy row scatter
-            # (the old kernel's single most expensive op).
-            for j in range(rdof):
-                rot_flat[ar + j] = smean[j] + htn[3 + j]
-                rot_flat[br + j] = smean[j] - htn[3 + j]
-        else:
-            for j in range(rdof):
-                rot[a, j] = smean[j] + htn[3 + j]
-                rot[b, j] = smean[j] - htn[3 + j]
-
-    e_trans_after = htn[0] ** 2 + htn[1] ** 2 + htn[2] ** 2
-
-    if transpositions is None:
-        if rng is None:
-            raise ConfigurationError("need rng or explicit transpositions")
-        transpositions = rng.integers(0, k, size=2 * m)
-    else:
-        transpositions = np.asarray(transpositions)
-        if transpositions.shape != (2 * m,):
-            raise ConfigurationError("need 2 * n_pairs transposition draws")
-    _transpose_rows(particles.perm, a, transpositions[:m])
-    _transpose_rows(particles.perm, b, transpositions[m:])
-
-    return CollisionStats(
-        n_collisions=m,
-        energy_exchanged=float(np.abs(e_trans_after - e_trans_before).sum()),
+    a = np.multiply(pair_index, 2, out=pool.array("adj_a", m, dtype=np.intp))
+    b = np.add(a, 1, out=pool.array("adj_b", m, dtype=np.intp))
+    return collide_pairs(
+        particles, a, b,
+        rng=rng, signs=signs, transpositions=transpositions,
+        internal_exchange_probability=internal_exchange_probability,
     )
 
 
@@ -418,117 +186,273 @@ def collide_rows_with_velocities(
 ) -> CollisionStats:
     """Collide arbitrary row pairs whose velocities are already gathered.
 
-    The fused selection/collision kernel's entry point: the selection
-    pass has *already* gathered each pair's translational velocity
-    components (it needed them for the relative speed), so re-gathering
-    them here -- as :func:`collide_pairs` would -- wastes six scattered
-    reads per pair.  This variant accepts the pre-gathered ``u0/u1``,
-    ``v0/v1``, ``w0/w1`` arrays (one entry per accepted pair, aligned
-    with ``a_rows``/``b_rows``) and only gathers what selection never
-    touched: rotational state and permutation vectors.
-
-    Physics is byte-for-byte :func:`collide_pairs`: the same
-    :func:`_mixed_half_relatives` shuffle, the same mean +- relative
-    reconstruction, the same transposition refresh, and the same RNG
-    consumption order (signs, then the optional internal-exchange
-    draws, then transpositions) -- pinned by a unit equivalence test.
-    The input velocity arrays are not modified.
+    The entry point for callers that *already* gathered each pair's
+    translational velocity components (the speed-dependent selection
+    rule needs them for the relative speed): this variant accepts the
+    pre-gathered ``u0/u1``, ``v0/v1``, ``w0/w1`` arrays (one entry per
+    accepted pair, aligned with ``a_rows``/``b_rows``) and only gathers
+    what selection never touched: rotational state and permutation
+    vectors.  Otherwise identical to :func:`collide_pairs`; the input
+    velocity arrays are not modified.
     """
     a = np.asarray(a_rows)
     b = np.asarray(b_rows)
     if a.shape != b.shape:
         raise ConfigurationError("a_rows/b_rows shapes differ")
     m = a.shape[0]
-    k = 3 + particles.rotational_dof
     if m == 0:
         return CollisionStats(n_collisions=0, energy_exchanged=0.0)
-
-    rdof = particles.rotational_dof
-    rot = particles.rot
-    rot_flat = rot.reshape(-1) if rot.flags.c_contiguous else None
-    # Row gather touches each pair's cache line once (vs twice for
-    # per-component flat takes); the write-back below still uses flat
-    # 1-D scatters, which measure faster than the 2-D row scatter.
-    r0, r1 = np.take(rot, a, axis=0), np.take(rot, b, axis=0)
-    r0c = [r0[:, j] for j in range(rdof)]
-    r1c = [r1[:, j] for j in range(rdof)]
-    if rot_flat is not None:
-        ar = a * rdof
-        br = b * rdof
-
-    # Means (conserved) and half-relatives (eqs. (12)-(15)), built
-    # component-major (see :func:`_mixed_half_relatives_t`).
-    wu = 0.5 * (u0 + u1)
-    wv = 0.5 * (v0 + v1)
-    ww = 0.5 * (w0 + w1)
-    smean = np.empty((rdof, m))
-    ht = np.empty((k, m))
-    np.subtract(u0, u1, out=ht[0])
-    np.subtract(v0, v1, out=ht[1])
-    np.subtract(w0, w1, out=ht[2])
-    for j in range(rdof):
-        np.add(r0c[j], r1c[j], out=smean[j])
-        np.subtract(r0c[j], r1c[j], out=ht[3 + j])
-    ht *= 0.5
-    smean *= 0.5
-
-    htn = _mixed_half_relatives_t(
-        ht, np.take(particles.perm, a, axis=0), rng, signs,
-        internal_exchange_probability, k,
+    return _collide(
+        particles, _pool(particles), a, b, [u0, v0, w0], [u1, v1, w1],
+        rng, signs, transpositions, internal_exchange_probability,
+        in_place=False,
     )
 
-    e_trans_before = ht[0] ** 2 + ht[1] ** 2 + ht[2] ** 2
 
-    u, v, w = particles.u, particles.v, particles.w
-    u[a] = wu + htn[0]
-    u[b] = wu - htn[0]
-    v[a] = wv + htn[1]
-    v[b] = wv - htn[1]
-    w[a] = ww + htn[2]
-    w[b] = ww - htn[2]
-    if rot_flat is not None:
-        for j in range(rdof):
-            rot_flat[ar + j] = smean[j] + htn[3 + j]
-            rot_flat[br + j] = smean[j] - htn[3 + j]
-    else:
-        for j in range(rdof):
-            rot[a, j] = smean[j] + htn[3 + j]
-            rot[b, j] = smean[j] - htn[3 + j]
+def _pool(particles: ParticleArrays) -> ScratchBuffers:
+    """The particles' scratch pool, or a throwaway one without scratch."""
+    if particles.scratch is not None:
+        return particles.scratch
+    return ScratchBuffers(slack=0.0)
 
-    e_trans_after = htn[0] ** 2 + htn[1] ** 2 + htn[2] ** 2
 
-    if transpositions is None:
-        if rng is None:
-            raise ConfigurationError("need rng or explicit transpositions")
-        transpositions = rng.integers(0, k, size=2 * m)
-    else:
+def _columns(particles: ParticleArrays) -> list:
+    """The k per-component state columns (u, v, w, rot[:, j]) as views."""
+    rot = particles.rot
+    return [particles.u, particles.v, particles.w] + [
+        rot[:, j] for j in range(particles.rotational_dof)
+    ]
+
+
+def _collide(
+    particles: ParticleArrays,
+    pool: ScratchBuffers,
+    a: np.ndarray,
+    b: np.ndarray,
+    c0: list,
+    c1: list,
+    rng: Optional[np.random.Generator],
+    signs: Optional[np.ndarray],
+    transpositions: Optional[np.ndarray],
+    internal_exchange_probability: float,
+    in_place: bool,
+) -> CollisionStats:
+    """The shared eqs. (12)-(18) core of every collision kernel.
+
+    ``c0``/``c1`` hold the state components of the first/second
+    partners of the pairs in rows ``a``/``b``.  With ``in_place`` they
+    are all k components (u, v, w, rot...) as views of the particle
+    columns, and receive the post-collision state.  Otherwise they are
+    empty or the three velocities the caller already gathered; the
+    rest of the state is gathered block by block, and the result is
+    scattered to rows ``a``/``b``.
+
+    Every random draw is made up front, in the reference order --
+    signs, the optional internal-exchange draws, transpositions -- and
+    the arithmetic then runs over blocks of :data:`BLOCK` pairs whose
+    temporaries live in the particles' scratch pool (names ``col_*``).
+    A warm call therefore allocates only the signs and transpositions
+    it draws (``Generator.integers`` has no ``out=``), and the pool
+    stays block-sized however many pairs collide.  Each pair's
+    arithmetic is elementwise, so blocking is bitwise invisible; the
+    per-pair energy changes are summed once, at the end.
+    """
+    m = a.shape[0]
+    k = 3 + particles.rotational_dof
+    if signs is not None:
+        signs = np.asarray(signs)
+        if signs.shape != (m, k):
+            raise ConfigurationError(f"signs must have shape {(m, k)}")
+    elif rng is None:
+        raise ConfigurationError("need rng or explicit signs")
+    if transpositions is not None:
         transpositions = np.asarray(transpositions)
         if transpositions.shape != (2 * m,):
             raise ConfigurationError("need 2 * n_pairs transposition draws")
-    _transpose_rows(particles.perm, a, transpositions[:m])
-    _transpose_rows(particles.perm, b, transpositions[m:])
+    elif rng is None:
+        raise ConfigurationError("need rng or explicit transpositions")
+    if internal_exchange_probability < 1.0 and rng is None:
+        raise ConfigurationError(
+            "internal_exchange_probability < 1 requires rng"
+        )
 
-    return CollisionStats(
-        n_collisions=m,
-        energy_exchanged=float(np.abs(e_trans_after - e_trans_before).sum()),
+    if signs is None:
+        signs = random_signs(rng, (m, k))
+    frozen = None
+    if internal_exchange_probability < 1.0:
+        # Pairs that keep their internal state: a translational-only
+        # outcome (uniform 3-permutation of the translational
+        # half-relatives, fresh signs) drawn here for all of them.
+        frozen = rng.random(m) >= internal_exchange_probability
+        nf = int(np.count_nonzero(frozen))
+        if nf:
+            trans_perm = np.argsort(rng.random((nf, 3)), axis=1)
+            trans_signs = random_signs(rng, (nf, 3))
+        else:
+            frozen = None
+    if transpositions is None:
+        transpositions = rng.integers(0, k, size=2 * m)
+
+    de = pool.array("col_de", m)
+    f0 = 0
+    for s in range(0, m, BLOCK):
+        e = min(s + BLOCK, m)
+        frozen_block = None
+        if frozen is not None:
+            mask = frozen[s:e]
+            f1 = f0 + int(np.count_nonzero(mask))
+            if f1 > f0:
+                frozen_block = (mask, trans_perm[f0:f1], trans_signs[f0:f1])
+            f0 = f1
+        _collide_block(
+            particles, pool, a[s:e], b[s:e],
+            [c[s:e] for c in c0], [c[s:e] for c in c1],
+            signs[s:e], frozen_block,
+            transpositions[s:e], transpositions[m + s : m + e],
+            de[s:e], in_place,
+        )
+    return CollisionStats(n_collisions=m, energy_exchanged=float(de.sum()))
+
+
+def _collide_block(
+    particles: ParticleArrays,
+    pool: ScratchBuffers,
+    a: np.ndarray,
+    b: np.ndarray,
+    c0: list,
+    c1: list,
+    signs: np.ndarray,
+    frozen: Optional[tuple],
+    js_a: np.ndarray,
+    js_b: np.ndarray,
+    de: np.ndarray,
+    in_place: bool,
+) -> None:
+    """One block of :func:`_collide`; writes ``|dE_trans|`` per pair to ``de``."""
+    n = a.shape[0]
+    rdof = particles.rotational_dof
+    k = 3 + rdof
+    if not in_place:
+        # Gather what the caller has not: 1-D takes per velocity
+        # component (fancy row indexing is ~5x slower), then one row
+        # take of the rotational state, which touches each pair's cache
+        # line once.  "wrap" keeps NumPy's negative-index meaning.
+        if not c0:
+            g0 = pool.array("col_g0", 3 * n).reshape(3, n)
+            g1 = pool.array("col_g1", 3 * n).reshape(3, n)
+            for j, col in enumerate((particles.u, particles.v, particles.w)):
+                np.take(col, a, mode="wrap", out=g0[j])
+                np.take(col, b, mode="wrap", out=g1[j])
+            c0, c1 = list(g0), list(g1)
+        r0, r1 = (
+            np.take(
+                particles.rot, rows, axis=0, mode="wrap",
+                out=pool.array(name, n, width=rdof),
+            )
+            for name, rows in (("col_r0", a), ("col_r1", b))
+        )
+        c0 = c0 + [r0[:, j] for j in range(rdof)]
+        c1 = c1 + [r1[:, j] for j in range(rdof)]
+
+    # Half-relatives (eqs. (12)-(15)), built component-major: every
+    # per-component slice below is a contiguous row, not a strided
+    # column.
+    ht = pool.array("col_ht", k * n).reshape(k, n)
+    for j in range(k):
+        np.subtract(c0[j], c1[j], out=ht[j])
+    ht *= 0.5
+
+    # Re-order by the first partner's permutation vector ("which one
+    # gets used is inconsequential") as one flat take over the (k, n)
+    # block -- htn[j, i] = ht[perm[i, j], i] at flat position
+    # perm[i, j] * n + i; a C-ordered index keeps the take streaming.
+    perm = particles.perm
+    prow = np.take(
+        perm, a, axis=0, mode="wrap",
+        out=pool.array("col_perm", n, dtype=perm.dtype, width=k),
     )
+    # Sized for the transposition offsets below too (4n >= kn at k = 3).
+    idx_buf = pool.array("col_idx", max(k, 4) * n, dtype=np.intp)
+    idx = idx_buf[: k * n].reshape(k, n)
+    np.multiply(prow.T, n, out=idx, dtype=np.intp)
+    idx += pool.arange(n)
+    htn = pool.array("col_htn", k * n).reshape(k, n)
+    np.take(ht.reshape(-1), idx, out=htn, mode="clip")
+    # ... and give every element a random, equally probable sign.
+    np.multiply(htn, signs.T, out=htn, casting="unsafe")
+    if frozen is not None:
+        mask, trans_perm, trans_signs = frozen
+        rows = np.arange(trans_perm.shape[0])[:, None]
+        h_trans = ht[:3, mask].T[rows, trans_perm]
+        h_trans *= trans_signs
+        htn[:3, mask] = h_trans.T
+        htn[3:, mask] = ht[3:, mask]
+
+    # |translational energy change| per pair; ht is spent after this,
+    # so its rows hold the squares and then the reconstruction values.
+    e_before = _energy3(ht, ht[0], ht[1])
+    e_after = _energy3(htn, ht[1], ht[2])
+    np.abs(np.subtract(e_after, e_before, out=de), out=de)
+
+    # Reconstruct post-collision states: the conserved mean (eqs.
+    # (14)-(17)), recomputed per component, +- the new half-relative.
+    mean, out = ht[0], ht[1]
+    cols = None if in_place else _columns(particles)
+    for j in range(k):
+        np.add(c0[j], c1[j], out=mean)
+        mean *= 0.5
+        if in_place:
+            np.add(mean, htn[j], out=c0[j])
+            np.subtract(mean, htn[j], out=c1[j])
+        else:
+            cols[j][a] = np.add(mean, htn[j], out=out)
+            cols[j][b] = np.subtract(mean, htn[j], out=out)
+
+    # Refresh both partners' permutation vectors with one random
+    # transposition each (the Aldous-Diaconis shuffle step); a and b
+    # are disjoint, so one pass over both is exact.
+    rows, js = idx_buf[: 2 * n], idx_buf[2 * n : 4 * n]
+    rows[:n] = a
+    rows[n:] = b
+    js[:n] = js_a
+    js[n:] = js_b
+    _transpose_rows(perm, rows, js, pool)
 
 
-def _transpose_rows(perm: np.ndarray, rows: np.ndarray, js: np.ndarray) -> None:
+def _energy3(h: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """``h[0]**2 + h[1]**2 + h[2]**2`` into ``out`` (same rounding)."""
+    np.multiply(h[0], h[0], out=out)
+    out += np.multiply(h[1], h[1], out=tmp)
+    out += np.multiply(h[2], h[2], out=tmp)
+    return out
+
+
+def _transpose_rows(
+    perm: np.ndarray, rows: np.ndarray, js: np.ndarray, pool: ScratchBuffers
+) -> None:
     """Swap element js[i] with element 0 in perm[rows[i]], vectorized.
 
     ``rows`` may repeat only if the repeats carry identical swaps; the
-    collision pairing guarantees disjoint rows within each call.
+    collision pairing guarantees disjoint rows within each call.  On
+    the contiguous path ``rows`` and ``js`` are overwritten (with the
+    flat offsets of each row's first and swapped element).
     """
     if perm.flags.c_contiguous:
         # 1-D flattened swap: fancy indexing with a single index array
         # beats the (rows, js) double-index path on every op here.
+        n = rows.shape[0]
         flat = perm.reshape(-1)
-        i0 = rows * perm.shape[1]
-        ij = i0 + js
-        tmp = flat[ij]  # fancy gather already copies
-        flat[ij] = flat[i0]
-        flat[i0] = tmp
+        i0 = np.multiply(rows, perm.shape[1], out=rows)
+        ij = np.add(js, i0, out=js)
+        at_j = np.take(
+            flat, ij, mode="wrap",
+            out=pool.array("col_swap_j", n, dtype=perm.dtype),
+        )
+        flat[ij] = np.take(
+            flat, i0, mode="wrap",
+            out=pool.array("col_swap_0", n, dtype=perm.dtype),
+        )
+        flat[i0] = at_j
         return
     tmp = perm[rows, js].copy()
     perm[rows, js] = perm[rows, 0]

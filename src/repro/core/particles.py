@@ -44,11 +44,13 @@ def migration_float_width(rotational_dof: int) -> int:
 class ScratchBuffers:
     """Named, capacity-managed reusable temporaries for the step loop.
 
-    Steady-state stepping must not heap-allocate O(N) arrays: the hot
-    kernels (sort keys, shuffle permutations, acceptance draws) instead
-    borrow buffers from this pool.  A buffer is identified by name and
-    grows monotonically with ~30% slack, so after the start-up transient
-    every request is satisfied by a view of an existing allocation.
+    Steady-state stepping must not retain O(N) heap allocations, and
+    the hot kernels (sort keys, shuffle permutations, acceptance draws,
+    the collision kernel's pair-sized temporaries) borrow buffers from
+    this pool instead of allocating them per call.  A buffer is
+    identified by name and grows monotonically with ~30% slack, so
+    after the start-up transient every request is satisfied by a view
+    of an existing allocation.
     """
 
     def __init__(self, slack: float = 0.3, min_capacity: int = 64) -> None:
@@ -270,7 +272,12 @@ class ParticleArrays:
 
     def rotational_energy(self) -> float:
         """Total rotational energy 1/2 m sum(r.r) (eq. (9))."""
-        return 0.5 * float((self.rot**2).sum())
+        if self.scratch is None:
+            return 0.5 * float((self.rot**2).sum())
+        sq = self.scratch.array(
+            "rot_sq", self.n, dtype=self.rot.dtype, width=self.rotational_dof
+        )
+        return 0.5 * float(np.multiply(self.rot, self.rot, out=sq).sum())
 
     def total_energy(self) -> float:
         """Kinetic plus rotational energy."""

@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.collision import collide_rows_with_velocities
+from repro.core.collision import collide_pairs, collide_rows_with_velocities
 from repro.core.pairing import CandidatePairs, ReflectionPairs
 from repro.core.particles import ParticleArrays
 from repro.errors import ConfigurationError
@@ -279,13 +279,15 @@ def fused_select_collide(
     molecular model actually needs them: for Maxwell molecules (eq. 8)
     the probability is a pure density lookup by pair cell, so the full
     population is never gathered at all -- only the *accepted subset*
-    is, and those values flow straight into
-    :func:`repro.core.collision.collide_rows_with_velocities`.  For
-    speed-dependent models (eq. 7) the six translational gathers happen
-    once into the scratch pool, feed the probability, and the accepted
-    subset is taken from the already-gathered pair-aligned arrays.
-    Either way there are no full-population candidate index arrays and
-    no second pass over the pair set.
+    is, block by block inside :func:`repro.core.collision.collide_pairs`.
+    At lambda = 0 every pair is accepted, so the pair rows go to the
+    collision kernel as they are.  For speed-dependent models (eq. 7)
+    the six translational gathers happen once into the scratch pool,
+    feed the probability, and the accepted subset is taken from the
+    already-gathered pair-aligned arrays into
+    :func:`repro.core.collision.collide_rows_with_velocities`.  Either
+    way there are no full-population candidate index arrays and no
+    second pass over the pair set.
 
     RNG consumption order is the same as ``select_collisions`` followed
     by ``collide_pairs``: acceptance draws (one per formed pair), then
@@ -319,11 +321,17 @@ def fused_select_collide(
         np.take(particles.w, a, out=w0, mode="clip")
         np.take(particles.w, b, out=w1, mode="clip")
 
-    prob = buf("fs_prob")
+    draws = buf("fs_draws")
     if freestream.is_near_continuum:
         # The lambda -> 0 validation limit: every candidate collides.
-        prob[:n_pairs] = 1.0
+        # The acceptance draws are still consumed (the stream position
+        # is part of the trajectory), but no pair needs selecting.
+        rng.random(out=draws)
+        probability_sum = float(n_pairs)
+        n_acc = n_pairs
+        a_rows, b_rows = a, b
     else:
+        prob = buf("fs_prob")
         density_table = density_lookup_table(cell_counts, volume_fractions)
         np.take(density_table, rpairs.cell, out=prob, mode="clip")
         prob *= freestream.collision_probability / freestream.density
@@ -343,48 +351,40 @@ def fused_select_collide(
             g_ref = np.sqrt(2.0) * freestream.mean_speed
             prob *= model.speed_factor(g, g_ref)
         np.minimum(prob, 1.0, out=prob)
-
-    draws = buf("fs_draws")
-    rng.random(out=draws)
-    accept = buf("fs_accept", dtype=bool)
-    np.less(draws, prob, out=accept)
-    probability_sum = float(prob.sum())
-    accepted = np.flatnonzero(accept)
-    n_acc = accepted.shape[0]
+        rng.random(out=draws)
+        accept = buf("fs_accept", dtype=bool)
+        np.less(draws, prob, out=accept)
+        probability_sum = float(prob.sum())
+        accepted = np.flatnonzero(accept)
+        n_acc = accepted.shape[0]
+        a_rows = buf("fs_arows", dtype=np.intp, n=n_acc)
+        b_rows = buf("fs_brows", dtype=np.intp, n=n_acc)
+        np.take(a, accepted, out=a_rows, mode="clip")
+        np.take(b, accepted, out=b_rows, mode="clip")
     t_boundary = time.perf_counter()
 
-    a_rows = buf("fs_arows", dtype=np.intp, n=n_acc)
-    b_rows = buf("fs_brows", dtype=np.intp, n=n_acc)
-    np.take(a, accepted, out=a_rows, mode="clip")
-    np.take(b, accepted, out=b_rows, mode="clip")
-    au0, au1 = buf("fs_au0", n=n_acc), buf("fs_au1", n=n_acc)
-    av0, av1 = buf("fs_av0", n=n_acc), buf("fs_av1", n=n_acc)
-    aw0, aw1 = buf("fs_aw0", n=n_acc), buf("fs_aw1", n=n_acc)
     if needs_speed:
         # Accepted-subset gathers from the pair-aligned arrays already
         # in cache: the fusion win over re-gathering the population.
-        np.take(u0, accepted, out=au0, mode="clip")
-        np.take(u1, accepted, out=au1, mode="clip")
-        np.take(v0, accepted, out=av0, mode="clip")
-        np.take(v1, accepted, out=av1, mode="clip")
-        np.take(w0, accepted, out=aw0, mode="clip")
-        np.take(w1, accepted, out=aw1, mode="clip")
+        vel = [buf(name, n=n_acc) for name in (
+            "fs_au0", "fs_au1", "fs_av0", "fs_av1", "fs_aw0", "fs_aw1"
+        )]
+        for src, dst in zip((u0, u1, v0, v1, w0, w1), vel):
+            np.take(src, accepted, out=dst, mode="clip")
+        stats = collide_rows_with_velocities(
+            particles, a_rows, b_rows, *vel,
+            rng=rng,
+            internal_exchange_probability=internal_exchange_probability,
+        )
     else:
         # Maxwell fast path: velocities were never gathered for the
-        # probability, so gather just the accepted rows -- an O(A)
-        # touch instead of O(P).
-        np.take(particles.u, a_rows, out=au0, mode="clip")
-        np.take(particles.u, b_rows, out=au1, mode="clip")
-        np.take(particles.v, a_rows, out=av0, mode="clip")
-        np.take(particles.v, b_rows, out=av1, mode="clip")
-        np.take(particles.w, a_rows, out=aw0, mode="clip")
-        np.take(particles.w, b_rows, out=aw1, mode="clip")
-
-    stats = collide_rows_with_velocities(
-        particles, a_rows, b_rows, au0, au1, av0, av1, aw0, aw1,
-        rng=rng,
-        internal_exchange_probability=internal_exchange_probability,
-    )
+        # probability; the collision kernel gathers just the accepted
+        # rows, block by block -- an O(A) touch instead of O(P).
+        stats = collide_pairs(
+            particles, a_rows, b_rows,
+            rng=rng,
+            internal_exchange_probability=internal_exchange_probability,
+        )
     return FusedSelectCollideResult(
         n_candidates=n_pairs,
         n_collisions=stats.n_collisions,

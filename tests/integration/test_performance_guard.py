@@ -12,7 +12,9 @@ The hot-path engine adds two sharper guarantees worth guarding:
   per-particle time bound tightens from the old 3 us to 1.5 us;
 * steady-state stepping performs **zero retained O(N) allocations**
   (every per-step temporary lives in the preallocated scratch pool),
-  checked directly with tracemalloc.
+  checked directly with tracemalloc;
+* the fused selection/collision pass keeps its *transient* footprint
+  to the few per-call arrays NumPy cannot write into a pool.
 """
 
 import dataclasses
@@ -22,6 +24,7 @@ import tracemalloc
 
 import pytest
 
+import repro.core.simulation as simulation_mod
 from repro.core.simulation import Simulation, SimulationConfig
 from repro.geometry.domain import Domain
 from repro.geometry.wedge import Wedge
@@ -30,11 +33,11 @@ from repro.physics.freestream import Freestream
 pytestmark = pytest.mark.perf
 
 
-def _wedge_config(density, seed):
+def _wedge_config(density, seed, lambda_mfp=0.5):
     return SimulationConfig(
         domain=Domain(98, 64),
         freestream=Freestream(
-            mach=4.0, c_mp=0.14, lambda_mfp=0.5, density=density
+            mach=4.0, c_mp=0.14, lambda_mfp=lambda_mfp, density=density
         ),
         wedge=Wedge(x_leading=20.0, base=25.0, angle_deg=30.0),
         seed=seed,
@@ -89,6 +92,47 @@ class TestThroughput:
         assert grown < n, (
             f"stepping retained {grown} bytes over 6 steps "
             f"(n={n}): an O(N) per-step allocation is being kept alive"
+        )
+
+    @pytest.mark.parametrize("lambda_mfp", [0.0, 0.5])
+    def test_fused_pass_transients_stay_small(self, monkeypatch, lambda_mfp):
+        """Peak transient memory of one warm fused select+collide call.
+
+        Every pair-sized temporary of the pass (gathers, half-relatives,
+        means, the eq. (18) permutation index, scatter values,
+        transposition offsets) lives in the scratch pool.  What stays
+        transient: the random signs (int8, k per pair) and the
+        transpositions (int64, two per pair), because
+        ``Generator.integers`` has no ``out=``; above lambda = 0 also
+        the ``flatnonzero`` of the acceptance mask (int64 per accepted
+        pair) and the per-cell density table.  That is ~24-41 bytes per
+        accepted pair on this wedge; the pool-less kernel needed ~260.
+        """
+        cfg = _wedge_config(density=10.0, seed=1, lambda_mfp=lambda_mfp)
+        sim = Simulation(cfg)
+        sim.run(10)  # past the start-up transient; pool fully grown
+        fused = simulation_mod.fused_select_collide
+        measured = {}
+
+        def traced(*args, **kwargs):
+            tracemalloc.start()
+            try:
+                result = fused(*args, **kwargs)
+                measured["peak"] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            measured["accepted"] = result.n_collisions
+            return result
+
+        monkeypatch.setattr(simulation_mod, "fused_select_collide", traced)
+        sim.step()
+        accepted = measured["accepted"]
+        assert accepted > 5_000  # the guard must see a real pair set
+        per_pair = measured["peak"] / accepted
+        assert per_pair <= 80, (
+            f"fused pass peaked at {per_pair:.0f} transient bytes per "
+            f"accepted pair ({accepted} pairs): a pair-sized temporary "
+            "is being allocated instead of pooled"
         )
 
     def test_seeding_is_fast(self):

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.collision import CollisionStats, collide_pairs
+import repro.core.collision as collision_mod
+from repro.core.collision import (
+    CollisionStats,
+    collide_adjacent_pairs,
+    collide_pairs,
+)
 from repro.core.particles import ParticleArrays
 from repro.errors import ConfigurationError
 from repro.physics.freestream import Freestream
@@ -155,3 +160,40 @@ class TestMechanics:
     def test_needs_rng_or_inputs(self, pop):
         with pytest.raises(ConfigurationError):
             collide_pairs(pop, np.array([0]), np.array([1]))
+
+
+class TestBlocking:
+    """The core runs in blocks of ``BLOCK`` pairs; that must not show."""
+
+    @staticmethod
+    def _run(pop, monkeypatch, block, kernel, iep):
+        monkeypatch.setattr(collision_mod, "BLOCK", block)
+        parts = pop.copy()
+        if kernel == "scratch":
+            parts.enable_scratch()
+        rng = np.random.default_rng(17)
+        if kernel == "adjacent":
+            # All pairs, in place on strided views.
+            stats = collide_adjacent_pairs(
+                parts, rng=rng, internal_exchange_probability=iep
+            )
+        else:
+            a, b = random_pairs(np.random.default_rng(3), parts.n, 150)
+            stats = collide_pairs(
+                parts, a, b, rng=rng, internal_exchange_probability=iep
+            )
+        return parts, stats, rng.bit_generator.state
+
+    @pytest.mark.parametrize("kernel", ["heap", "scratch", "adjacent"])
+    @pytest.mark.parametrize("iep", [1.0, 0.5])
+    def test_blocks_are_bitwise_invisible(self, pop, monkeypatch, kernel, iep):
+        # 7 splits 150 and 200 pairs into ragged blocks, and the frozen
+        # (translational-only) pairs of iep < 1 straddle block edges.
+        ref, ref_stats, ref_state = self._run(pop, monkeypatch, 10**6,
+                                              kernel, iep)
+        got, got_stats, got_state = self._run(pop, monkeypatch, 7,
+                                              kernel, iep)
+        for name in ("u", "v", "w", "rot", "perm"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+        assert got_stats == ref_stats
+        assert got_state == ref_state

@@ -14,7 +14,9 @@ Pins the contracts the incremental hot path relies on:
   rebinding by one full rebuild;
 * the fused selection/collision kernel is bitwise identical to the
   split ``select_collisions`` + ``collide_pairs`` pipeline on the same
-  pair list and rng stream.
+  pair list and rng stream -- rarefied and near-continuum, with and
+  without the scratch pool -- leaves the rng at the same position, and
+  gives the same result on a reused pool as on a fresh one.
 """
 
 import dataclasses
@@ -26,6 +28,7 @@ from repro.core.cells import assign_cells
 from repro.core.collision import collide_pairs
 from repro.core.pairing import (
     CandidatePairs,
+    ReflectionPairs,
     reflection_pairs,
     reflection_slots,
 )
@@ -244,9 +247,11 @@ class TestIncrementalSorter:
 
 
 class TestFusedEquivalence:
-    def _setup(self, seed=11, n=600, n_cells=16):
+    def _setup(self, seed=11, n=600, n_cells=16, lambda_mfp=0.5):
         rng = np.random.default_rng(seed)
-        fs = Freestream(mach=4.0, c_mp=0.2, lambda_mfp=0.5, density=8.0)
+        fs = Freestream(
+            mach=4.0, c_mp=0.2, lambda_mfp=lambda_mfp, density=8.0
+        )
         parts = ParticleArrays.from_freestream(rng, n, fs, (0, 10), (0, 10))
         parts.cell[:] = rng.integers(0, n_cells, size=parts.n)
         sorter = IncrementalSorter(n_cells)
@@ -256,15 +261,35 @@ class TestFusedEquivalence:
         )
         return parts, rp, res.counts, fs
 
-    @pytest.mark.parametrize("iep", [1.0, 0.6])
-    def test_fused_is_bitwise_equal_to_split_pipeline(self, iep):
-        parts_f, rp, counts, fs = self._setup()
+    @staticmethod
+    def _assert_same_state(parts_a, parts_b):
+        n = parts_a.n
+        assert n == parts_b.n
+        for col in ("u", "v", "w", "rot", "perm"):
+            assert np.array_equal(
+                getattr(parts_a, col)[:n], getattr(parts_b, col)[:n]
+            ), col
+
+    @pytest.mark.parametrize("scratch", [False, True])
+    @pytest.mark.parametrize(
+        "lambda_mfp, iep", [(0.5, 1.0), (0.5, 0.6), (0.0, 1.0)]
+    )
+    def test_fused_is_bitwise_equal_to_split_pipeline(
+        self, lambda_mfp, iep, scratch
+    ):
+        # lambda = 0 is the near-continuum limit where every pair is
+        # accepted and the fused kernel skips the accepted-subset
+        # gathers; it must still consume the acceptance draws.
+        parts_f, rp, counts, fs = self._setup(lambda_mfp=lambda_mfp)
         parts_s = parts_f.copy()
+        if scratch:
+            parts_f.enable_scratch()
         model = MolecularModel()
 
+        rng_f = np.random.default_rng(99)
         fused = fused_select_collide(
             parts_f, rp, fs, model, counts,
-            rng=np.random.default_rng(99),
+            rng=rng_f,
             internal_exchange_probability=iep,
         )
 
@@ -284,16 +309,48 @@ class TestFusedEquivalence:
 
         assert fused.n_collisions == stats.n_collisions
         assert fused.n_candidates == rp.n_pairs
+        if lambda_mfp == 0.0:
+            assert fused.n_collisions == rp.n_pairs
         assert np.isclose(
             fused.probability_sum, float(sel.probability.sum())
         )
-        n = parts_f.n
-        for col in ("u", "v", "w"):
-            assert np.array_equal(
-                getattr(parts_f, col)[:n], getattr(parts_s, col)[:n]
-            ), col
-        assert np.array_equal(parts_f.rot[:n], parts_s.rot[:n])
-        assert np.array_equal(parts_f.perm[:n], parts_s.perm[:n])
+        self._assert_same_state(parts_f, parts_s)
+        # Same RNG position: the next draw of either stream agrees.
+        assert rng_f.bit_generator.state == rng_s.bit_generator.state
+
+    @pytest.mark.parametrize("lambda_mfp", [0.5, 0.0])
+    def test_reused_pool_matches_fresh_pool(self, lambda_mfp):
+        # Pooled buffers are views that alias across calls: a call on a
+        # smaller pair set after a larger one must see none of the
+        # larger call's leftovers.
+        parts, rp, counts, fs = self._setup(lambda_mfp=lambda_mfp)
+        model = MolecularModel()
+        parts.enable_scratch()
+        fused_select_collide(
+            parts, rp, fs, model, counts, rng=np.random.default_rng(5)
+        )
+        fresh = parts.copy().enable_scratch()
+        small = rp.n_pairs // 3
+        sub = ReflectionPairs(
+            first=rp.first[:small].copy(),
+            second=rp.second[:small].copy(),
+            cell=rp.cell[:small].copy(),
+        )
+        rng_reused = np.random.default_rng(6)
+        rng_fresh = np.random.default_rng(6)
+        reused = fused_select_collide(
+            parts, sub, fs, model, counts, rng=rng_reused
+        )
+        again = fused_select_collide(
+            fresh, sub, fs, model, counts, rng=rng_fresh
+        )
+        assert reused == dataclasses.replace(
+            again, t_boundary=reused.t_boundary
+        )
+        self._assert_same_state(parts, fresh)
+        assert (
+            rng_reused.bit_generator.state == rng_fresh.bit_generator.state
+        )
 
     def test_fused_speed_dependent_model_matches_split(self):
         # Exercise the needs_speed branch (eq. 7) too.
