@@ -239,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sj.add_argument("--deadline", type=float, default=None,
                     help="per-job wall-clock deadline, seconds")
     sj.add_argument("--wait", action="store_true",
-                    help="poll until the job reaches a terminal state; "
+                    help="block until the job reaches a terminal state; "
                          "exit 0 only on DONE")
     sj.add_argument("--timeout", type=float, default=600.0,
                     help="--wait limit, seconds")

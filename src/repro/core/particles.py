@@ -41,6 +41,16 @@ def migration_float_width(rotational_dof: int) -> int:
     return len(MIGRATION_FLOAT_COLUMNS) + rotational_dof
 
 
+def sum_of_squares(col: np.ndarray) -> float:
+    """``sum(col**2)`` of a 1-D column, without BLAS.
+
+    ``np.dot`` would hand the sum to the BLAS thread pool, which spins
+    spare cores for the whole run (oversubscribing shard and job
+    workers) and makes the last bits depend on its thread count.
+    """
+    return float(np.einsum("i,i->", col, col))
+
+
 class ScratchBuffers:
     """Named, capacity-managed reusable temporaries for the step loop.
 
@@ -266,8 +276,10 @@ class ParticleArrays:
 
     def kinetic_energy(self) -> float:
         """Total translational kinetic energy, m = 1."""
-        return 0.5 * float(
-            np.dot(self.u, self.u) + np.dot(self.v, self.v) + np.dot(self.w, self.w)
+        return 0.5 * (
+            sum_of_squares(self.u)
+            + sum_of_squares(self.v)
+            + sum_of_squares(self.w)
         )
 
     def rotational_energy(self) -> float:

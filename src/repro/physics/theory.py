@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from typing import Tuple
 
-import numpy as np
 from scipy.optimize import brentq
 
 from repro.constants import GAMMA
@@ -58,18 +57,21 @@ def max_deflection(mach: float, gamma: float = GAMMA) -> Tuple[float, float]:
 
     Returns ``(theta_max, beta_at_max)``.  Wedge angles above theta_max
     detach the shock (bow shock), which the library flags rather than
-    silently solving the wrong branch.
+    silently solving the wrong branch.  The maximiser is exact:
+    d(theta)/d(beta) = 0 is a quadratic in sin^2(beta) whose
+    physical root is
+
+        sin^2 beta* = [(g+1) M^2 - 4
+                       + sqrt((g+1) ((g+1) M^4 + 8 (g-1) M^2 + 16))]
+                      / (4 g M^2).
     """
     _check_supersonic(mach)
-    mu = math.asin(1.0 / mach)  # Mach angle: weakest possible shock
-    betas = np.linspace(mu + 1e-9, math.pi / 2 - 1e-9, 20001)
-    # Vectorized theta-beta-M over the whole beta sweep.
-    mn2 = (mach * np.sin(betas)) ** 2
-    num = 2.0 / np.tan(betas) * (mn2 - 1.0)
-    den = mach**2 * (gamma + np.cos(2.0 * betas)) + 2.0
-    thetas = np.where(mn2 > 1.0, np.arctan(num / den), 0.0)
-    i = int(np.argmax(thetas))
-    return float(thetas[i]), float(betas[i])
+    m2 = mach * mach
+    g1 = gamma + 1.0
+    root = math.sqrt(g1 * (g1 * m2 * m2 + 8.0 * (gamma - 1.0) * m2 + 16.0))
+    sin2 = (g1 * m2 - 4.0 + root) / (4.0 * gamma * m2)
+    beta = math.asin(math.sqrt(min(1.0, sin2)))
+    return deflection_angle(mach, beta, gamma), beta
 
 
 def shock_angle(

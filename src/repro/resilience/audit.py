@@ -44,7 +44,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.particles import COLUMN_NAMES
+from repro.core.particles import COLUMN_NAMES, sum_of_squares
 from repro.errors import InvariantViolationError
 
 #: Columns whose values must be finite after every step.
@@ -407,9 +407,9 @@ class InvariantAuditor:
         for v in views:
             u, w_, vv, rot = v["u"], v["w"], v["v"], v["rot"]
             total += 0.5 * (
-                float(np.dot(u, u))
-                + float(np.dot(vv, vv))
-                + float(np.dot(w_, w_))
+                sum_of_squares(u)
+                + sum_of_squares(vv)
+                + sum_of_squares(w_)
             )
             if rot.size:
                 total += 0.5 * float((rot * rot).sum())

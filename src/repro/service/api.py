@@ -64,7 +64,10 @@ from repro.telemetry.stream import JobEventTail
 #: Long-poll wait bounds, seconds (``?timeout=`` is clamped into them).
 LONGPOLL_DEFAULT = 10.0
 LONGPOLL_MAX = 30.0
-#: Cadence of tail polls while a watcher waits, seconds.
+#: Longest a watcher waits between tail polls, seconds.  Job-state
+#: transitions wake watchers at once (pushed by the orchestrator); this
+#: bound is only the cadence at which worker-written records
+#: (heartbeats, telemetry events) are tailed.
 TAIL_INTERVAL = 0.1
 #: Seconds of SSE silence before a ``: heartbeat`` comment is sent so
 #: proxies and clients can tell an idle stream from a dead one.
@@ -305,13 +308,16 @@ class ServiceAPI:
             ) from None
         timeout = min(max(0.0, timeout), LONGPOLL_MAX)
         tail = self._tail(job_id, query.get("cursor"))
+        orch = self.orchestrator
         deadline = time.monotonic() + timeout
         while True:
-            status = self.orchestrator.status(job_id)
+            # The generation is read before the status, so a transition
+            # landing between the two cuts the wait below short.
+            generation = orch.generation
+            status = orch.status(job_id)
             events = tail.poll()
-            if events or status["terminal"] or (
-                time.monotonic() >= deadline
-            ):
+            left = deadline - time.monotonic()
+            if events or status["terminal"] or left <= 0:
                 return {
                     "job_id": job_id,
                     "events": events,
@@ -319,7 +325,7 @@ class ServiceAPI:
                     "state": status["state"],
                     "terminal": status["terminal"],
                 }
-            time.sleep(TAIL_INTERVAL)
+            orch.wait_for_change(generation, min(TAIL_INTERVAL, left))
 
     def _sse(self, handler, job_id: str, query: dict) -> None:
         """``GET /jobs/<id>/stream``: Server-Sent Events until terminal.
@@ -341,10 +347,12 @@ class ServiceAPI:
         handler.send_header("X-Accel-Buffering", "no")
         handler.end_headers()
         wfile = handler.wfile
+        orch = self.orchestrator
         try:
             last_write = time.monotonic()
             while True:
-                status = self.orchestrator.status(job_id)
+                generation = orch.generation  # before the status read
+                status = orch.status(job_id)
                 for rec in tail.poll():
                     blob = json.dumps(rec, separators=(",", ":"))
                     wfile.write(
@@ -379,7 +387,7 @@ class ServiceAPI:
                     wfile.write(b": heartbeat\n\n")
                     last_write = time.monotonic()
                 wfile.flush()
-                time.sleep(TAIL_INTERVAL)
+                orch.wait_for_change(generation, TAIL_INTERVAL)
         except (BrokenPipeError, ConnectionResetError, OSError):
             # The watcher went away; its cursor lets it resume.
             return

@@ -22,7 +22,6 @@ from repro.errors import (
     JobStateError,
     ServiceError,
 )
-from repro.service import store as st
 
 _ERRORS = {
     429: BackpressureError,
@@ -237,23 +236,31 @@ class ServiceClient:
                 elif field == "data":
                     data_lines.append(value)
 
-    def wait(
-        self,
-        job_id: str,
-        timeout: float = 300.0,
-        poll: float = 0.2,
-    ) -> dict:
-        """Poll until the job reaches a terminal state (or timeout)."""
-        deadline = time.time() + timeout
+    def wait(self, job_id: str, timeout: float = 300.0) -> dict:
+        """Block until the job reaches a terminal state (or timeout).
+
+        A loop over the long-poll route: the server answers each round
+        as soon as the job goes terminal, so the return follows the
+        terminal transition without a client-side poll interval.
+        Returns the job's final status dict.
+        """
+        deadline = time.monotonic() + timeout
+        cursor = None
         while True:
-            status = self.status(job_id)
-            if status["state"] in st.TERMINAL_STATES:
-                return status
-            if time.time() > deadline:
+            left = deadline - time.monotonic()
+            # Each round ends well inside the socket timeout.
+            out = self.events(
+                job_id,
+                cursor=cursor,
+                timeout=min(max(0.0, left), 0.5 * self.timeout),
+            )
+            if out["terminal"]:
+                return self.status(job_id)
+            if left <= 0:
                 raise ServiceError(
                     "timed out waiting for job",
                     job_id=job_id,
-                    state=status["state"],
+                    state=out["state"],
                     timeout=timeout,
                 )
-            time.sleep(poll)
+            cursor = out["cursor"]

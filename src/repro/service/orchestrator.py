@@ -214,6 +214,12 @@ class Orchestrator:
             "repro_service_queue_depth", help="jobs waiting in QUEUED"
         )
         self._lock = threading.RLock()
+        # Push delivery: every journaled submission or state transition
+        # bumps the generation and wakes the API's stream and long-poll
+        # waiters, which block on this condition instead of sleeping.
+        self._changed = threading.Condition(self._lock)
+        self._generation = 0
+        self.store.on_change = self._bump_generation
         self._procs: Dict[str, multiprocessing.process.BaseProcess] = {}
         self._dispatched: Dict[str, float] = {}
         self._kill_reason: Dict[str, str] = {}
@@ -385,6 +391,31 @@ class Orchestrator:
         from repro.scenarios import get
 
         return get(scenario)
+
+    # -- job-state change notification -----------------------------------
+
+    def _bump_generation(self) -> None:
+        with self._changed:
+            self._generation += 1
+            self._changed.notify_all()
+
+    @property
+    def generation(self) -> int:
+        """Count of job-state transitions so far (submissions included).
+
+        A waiter reads it *before* reading the state it waits on, then
+        passes it to :meth:`wait_for_change`, so a transition landing
+        between the read and the wait is never missed.
+        """
+        return self._generation
+
+    def wait_for_change(self, generation: int, timeout: float) -> bool:
+        """Block until the generation moves past ``generation`` or
+        ``timeout`` seconds pass; True when a transition landed."""
+        with self._changed:
+            return self._changed.wait_for(
+                lambda: self._generation != generation, timeout
+            )
 
     # -- introspection ---------------------------------------------------
 

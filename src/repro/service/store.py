@@ -32,7 +32,7 @@ import dataclasses
 import json
 import pathlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.errors import (
     JobNotFoundError,
@@ -248,6 +248,9 @@ class JobStore:
         #: Records appended so far (the journal faults' clock).
         self.seq = len(records)
         self.journal = ServiceJournal(self.data_dir)
+        #: Called after every journaled submission and state transition
+        #: (the orchestrator wakes its job-state waiters from it).
+        self.on_change: Optional[Callable[[], None]] = None
 
     # -- appending ------------------------------------------------------
 
@@ -302,7 +305,9 @@ class JobStore:
                 "duplicate job id", job_id=job.job_id
             )
         self.jobs[job.job_id] = job
-        return self.record("submitted", job=job.to_dict())
+        seq = self.record("submitted", job=job.to_dict())
+        self._notify_change()
+        return seq
 
     def transition(self, job_id: str, new_state: str, **fields) -> int:
         """Apply (and journal) one state-machine transition.
@@ -329,7 +334,13 @@ class JobStore:
         for key, value in fields.items():
             if key in known:
                 setattr(job, key, value)
-        return self.record("state", job_id=job_id, state=new_state, **fields)
+        seq = self.record("state", job_id=job_id, state=new_state, **fields)
+        self._notify_change()
+        return seq
+
+    def _notify_change(self) -> None:
+        if self.on_change is not None:
+            self.on_change()
 
     def set_cached(self, key: str, job_id: str) -> int:
         """Register a completed job's result under its cache key."""

@@ -196,6 +196,36 @@ class TestProcessFaults:
         assert all(not p.is_alive() for p in procs)
 
 
+class TestEnergyDiagnostics:
+    def test_energy_sums_never_call_blas(self, monkeypatch):
+        """The per-step energy diagnostic and the auditor's energy check
+        stay off ``numpy.dot``: BLAS threads would oversubscribe the
+        shard and job workers, and its sum depends on their count."""
+
+        def no_blas(*args, **kwargs):
+            raise AssertionError("numpy.dot called by an energy sum")
+
+        monkeypatch.setattr(np, "dot", no_blas)
+        serial = Simulation(_small_config())
+        auditor = InvariantAuditor()
+        auditor.rebase(serial)
+        for _ in range(3):
+            auditor.observe(serial.step())
+            auditor.audit(serial)
+        sharded = _inline_sim()
+        auditor = InvariantAuditor()
+        auditor.rebase(sharded)
+        for _ in range(3):
+            auditor.observe(sharded.step())
+            auditor.audit(sharded)
+        sharded.close()
+        p = serial.particles
+        assert p.kinetic_energy() == pytest.approx(
+            0.5 * float((p.u**2).sum() + (p.v**2).sum() + (p.w**2).sum()),
+            rel=1e-12,
+        )
+
+
 class TestSupervisedRecovery:
     """The supervisor restores, replays and finishes -- bitwise."""
 

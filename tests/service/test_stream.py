@@ -10,6 +10,8 @@ stream still ends cleanly at the job's terminal state.
 from __future__ import annotations
 
 import io
+import sys
+import threading
 import time
 
 import pytest
@@ -18,7 +20,7 @@ from repro.errors import JobNotFoundError
 from repro.service import Orchestrator, ServiceAPI, ServiceClient
 from repro.service import store as st
 from repro.service.watch import watch_fleet, watch_job
-from tests.service.conftest import fast_config
+from tests.service.conftest import TINY, fast_config
 
 pytestmark = pytest.mark.service
 
@@ -229,3 +231,135 @@ class TestWatch:
             ["watch", job_id, "--url", f"http://127.0.0.1:{api.port}"]
         )
         assert rc == 0
+
+
+class TestPushDelivery:
+    """Job-state changes reach every watcher by push, not by a timer.
+
+    ``TAIL_INTERVAL`` is raised to 30 s: a watcher that polled on it
+    would block ~30 s, while one woken by the orchestrator's
+    transition notification answers within seconds of the job's end.
+    """
+
+    BOUND = 10.0
+
+    @pytest.fixture
+    def slow_tail(self, monkeypatch):
+        import repro.service.api as api_mod
+
+        monkeypatch.setattr(api_mod, "TAIL_INTERVAL", 30.0)
+
+    def test_stream_ends_on_the_terminal_transition(self, service, slow_tail):
+        _, _, client = service
+        t0 = time.monotonic()
+        job_id = _submit(client, seed=83, overrides=TINY)
+        messages = list(client.stream(job_id))
+        assert time.monotonic() - t0 < self.BOUND
+        kinds = [ev for ev, _ in messages]
+        assert kinds[-1] == "state"
+        assert messages[-1][1]["terminal"] is True
+        assert messages[-1][1]["state"] == st.DONE
+        assert "done" in kinds[:-1]
+
+    def test_longpoll_returns_once_terminal(self, service, slow_tail):
+        _, _, client = service
+        t0 = time.monotonic()
+        job_id = _submit(client, seed=84, overrides=TINY)
+        cursor, kinds = None, []
+        while True:
+            out = client.events(job_id, cursor=cursor, timeout=30)
+            cursor = out["cursor"]
+            kinds += [e["kind"] for e in out["events"]]
+            if out["terminal"]:
+                break
+        assert time.monotonic() - t0 < self.BOUND
+        assert out["state"] == st.DONE
+        assert "done" in kinds
+
+    def test_client_wait_returns_once_terminal(self, service, slow_tail):
+        _, _, client = service
+        t0 = time.monotonic()
+        job_id = _submit(client, seed=85, overrides=TINY)
+        final = client.wait(job_id, timeout=60)
+        assert time.monotonic() - t0 < self.BOUND
+        assert final["state"] == st.DONE
+        assert final["terminal"] is True
+
+    def test_waiter_with_an_older_generation_never_misses(self, tmp_path):
+        orch = Orchestrator(tmp_path / "svc", fast_config(), start=False)
+        try:
+            # Read before the transition, wait after it: no lost wakeup.
+            before = orch.generation
+            orch.submit(scenario="wedge", seed=86, overrides=TINY)
+            assert orch.generation > before
+            t0 = time.monotonic()
+            assert orch.wait_for_change(before, timeout=30.0)
+            assert time.monotonic() - t0 < 1.0
+            # With nothing new, the wait runs out its timeout.
+            assert not orch.wait_for_change(orch.generation, timeout=0.05)
+            # A waiter already blocked is woken by the transition.
+            seen = orch.generation
+            woke = []
+            waiter = threading.Thread(
+                target=lambda: woke.append(
+                    orch.wait_for_change(seen, timeout=30.0)
+                )
+            )
+            waiter.start()
+            time.sleep(0.1)
+            t0 = time.monotonic()
+            orch.submit(scenario="wedge", seed=87, overrides=TINY)
+            waiter.join(timeout=30.0)
+            assert woke == [True]
+            assert time.monotonic() - t0 < 1.0
+        finally:
+            orch.shutdown()
+
+    def test_many_waiters_see_every_bump(self, tmp_path):
+        """Stress: more waiter threads than cores against a bumping
+        thread with a tiny switch interval; every waiter sees the final
+        generation and no increment is lost."""
+        orch = Orchestrator(tmp_path / "svc", fast_config(), start=False)
+        bumps, start = 200, orch.generation
+        target = start + bumps
+        stuck = []
+
+        def waiter():
+            while True:
+                seen = orch.generation
+                if seen >= target:
+                    return
+                if not orch.wait_for_change(seen, timeout=10.0):
+                    stuck.append(seen)
+                    return
+
+        def bumper():
+            for _ in range(bumps):
+                orch.store.on_change()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=waiter) for _ in range(8)]
+            threads.append(threading.Thread(target=bumper))
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            orch.shutdown()
+        assert stuck == []
+        assert orch.generation == target
+
+    def test_scheduler_ticks_do_not_bump_the_generation(self, tmp_path):
+        orch = Orchestrator(
+            tmp_path / "svc", fast_config(poll_interval=0.01)
+        )
+        try:
+            before = orch.generation
+            time.sleep(0.2)  # ~20 idle scheduler ticks
+            assert orch.generation == before
+        finally:
+            orch.shutdown()

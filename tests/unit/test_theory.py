@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -35,6 +36,24 @@ class TestObliqueShock:
         # gamma = 1.4, M = 2: theta_max ~ 22.97 deg.
         theta_max, _ = theory.max_deflection(2.0)
         assert math.degrees(theta_max) == pytest.approx(22.97, abs=0.1)
+
+    @pytest.mark.parametrize("mach", [1.05, 1.3, 2.0, 4.0, 10.0, 50.0])
+    @pytest.mark.parametrize("gamma", [5.0 / 3.0, 1.4, 1.3])
+    def test_max_deflection_is_the_maximum(self, mach, gamma):
+        theta_max, beta = theory.max_deflection(mach, gamma)
+        for delta in (1e-7, 1e-5, 1e-3):
+            for b in (beta - delta, beta + delta):
+                assert theta_max >= theory.deflection_angle(mach, b, gamma)
+        # A dense sweep of theta-beta-M agrees with the closed form.
+        mu = math.asin(1.0 / mach)
+        betas = np.linspace(mu, math.pi / 2, 10**6)[1:-1]
+        mn2 = (mach * np.sin(betas)) ** 2
+        thetas = np.arctan(
+            2.0 / np.tan(betas) * (mn2 - 1.0)
+            / (mach**2 * (gamma + np.cos(2.0 * betas)) + 2.0)
+        )
+        assert theta_max == pytest.approx(thetas.max(), abs=1e-8)
+        assert theta_max >= thetas.max()
 
     def test_subsonic_rejected(self):
         with pytest.raises(ConfigurationError):
