@@ -27,6 +27,12 @@ from repro.errors import ConfigurationError
 from repro.geometry.domain import Domain
 
 
+#: Accumulator attribute names shared by :class:`CellSampler` and
+#: :class:`EnsembleSampler` (one flat float64 array each): count, the
+#: three momentum sums, and the sums of c.c and r.r.
+SAMPLER_FIELDS = ("_count", "_mu", "_mv", "_mw", "_e_trans", "_e_rot")
+
+
 def _accumulate_moments(
     acc, particles: ParticleArrays, key: np.ndarray, n_bins: int
 ) -> None:
@@ -77,13 +83,8 @@ class CellSampler:
                     f"volume_fractions must be {domain.shape}"
                 )
         self.volume_fractions = volume_fractions
-        n = domain.n_cells
-        self._count = np.zeros(n)
-        self._mu = np.zeros(n)
-        self._mv = np.zeros(n)
-        self._mw = np.zeros(n)
-        self._e_trans = np.zeros(n)  # sum of c.c
-        self._e_rot = np.zeros(n)    # sum of r.r
+        for name in SAMPLER_FIELDS:
+            setattr(self, name, np.zeros(domain.n_cells))
         self._steps = 0
 
     # -- accumulation -----------------------------------------------------
@@ -98,15 +99,8 @@ class CellSampler:
 
     def reset(self) -> None:
         """Discard accumulated statistics (e.g. at end of transient)."""
-        for arr in (
-            self._count,
-            self._mu,
-            self._mv,
-            self._mw,
-            self._e_trans,
-            self._e_rot,
-        ):
-            arr[:] = 0.0
+        for name in SAMPLER_FIELDS:
+            getattr(self, name)[:] = 0.0
         self._steps = 0
 
     # -- derived fields ---------------------------------------------------------
@@ -182,11 +176,6 @@ class CellSampler:
         else:
             n_open = self.domain.n_cells
         return float(self._count.sum() / self._steps / max(n_open, 1))
-
-
-#: Accumulator attribute names shared by :class:`CellSampler` and
-#: :class:`EnsembleSampler` (one flat float64 array each).
-SAMPLER_FIELDS = ("_count", "_mu", "_mv", "_mw", "_e_trans", "_e_rot")
 
 
 class EnsembleSampler:

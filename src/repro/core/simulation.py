@@ -480,6 +480,36 @@ class Simulation:
         backend=None,
         telemetry=None,
     ) -> None:
+        self._init_static(config, hotpath, telemetry)
+        # The population: the draw order (flow seeding, then the
+        # reservoir deposit) is part of the determinism contract.
+        self.particles = seed_flow_particles(config, self.rng, self._vf_flat)
+        n_res = int(round(config.reservoir_fraction * self.particles.n))
+        self.reservoir.deposit(self.rng, n_res)
+        assign_cells(self.particles, config.domain)
+        self._bind(backend)
+
+    @classmethod
+    def _restore_shell(
+        cls,
+        config: SimulationConfig,
+        particles: ParticleArrays,
+        reservoir_particles: ParticleArrays,
+    ) -> "Simulation":
+        """A serial simulation around archived populations, never seeded.
+
+        :func:`repro.io.snapshots.load_simulation` then restores the RNG
+        state, plunger phase, step count and accumulators.
+        """
+        sim = cls.__new__(cls)
+        sim._init_static(config, True, None)
+        sim.particles = particles
+        sim.reservoir.particles = reservoir_particles
+        sim._bind(None)
+        return sim
+
+    def _init_static(self, config, hotpath, telemetry) -> None:
+        """Build everything but the particle populations and the backend."""
         self.config = config
         self.rng = make_rng(config.seed)
         self.step_count = 0
@@ -515,12 +545,9 @@ class Simulation:
             wall_model=config.wall_model,
             accommodation=config.accommodation,
         )
-        self.particles = self._seed_flow()
         self.reservoir = Reservoir(
             config.freestream, rotational_dof=config.model.rotational_dof
         )
-        n_res = int(round(config.reservoir_fraction * self.particles.n))
-        self.reservoir.deposit(self.rng, n_res)
         self.sampler = CellSampler(config.domain, self.volume_fractions)
         #: Surface-load accumulator (pressure / drag on the wedge);
         #: armed only during sampling steps so its averages align with
@@ -535,9 +562,6 @@ class Simulation:
         #: Optional extra probes (e.g. analysis.vdf.VDFProbe); each
         #: object's ``sample(particles)`` runs on sampling steps.
         self.probes: list = []
-        if self.hotpath:
-            self.particles.enable_scratch()
-            self.reservoir.particles.enable_scratch()
         #: Incremental-sort state (the temporal-coherence kernel):
         #: owns the cached per-particle cell array and the canonical
         #: order permutation; ``None`` for the physical-sort kernels.
@@ -546,19 +570,21 @@ class Simulation:
             self.sort_state = IncrementalSorter(config.domain.n_cells)
         else:
             self.sort_state = None
-        assign_cells(self.particles, config.domain)
+
+    def _bind(self, backend) -> None:
+        """Arm the populations' scratch, then bind backend and telemetry."""
+        if self.hotpath:
+            # Hot-path and legacy populations differ in memory order
+            # after in-place reorders, so a restored population must
+            # take the same kernels as the saved run's.
+            self.particles.enable_scratch()
+            self.reservoir.particles.enable_scratch()
         #: Execution backend (the seam): bound last, once every piece of
         #: state it may need to decompose or mirror exists.
         self.backend = backend if backend is not None else SerialBackend()
         self.backend.bind(self)
-        if telemetry is not None:
-            telemetry.attach(self)
-
-    # -- construction helpers ---------------------------------------------
-
-    def _seed_flow(self) -> ParticleArrays:
-        """Fill the open region at freestream density (rejection sample)."""
-        return seed_flow_particles(self.config, self.rng, self._vf_flat)
+        if self.telemetry is not None:
+            self.telemetry.attach(self)
 
     # -- stepping -----------------------------------------------------------
 

@@ -13,7 +13,8 @@ for :class:`~repro.geometry.wedge.Wedge`:
   points that penetrated the solid, returning updated copies plus two
   masks ``(back, primary)`` of which face was hit;
 * ``open_volume_fractions(domain)`` -- gas-accessible area fraction of
-  every cell (supersampled, like the wedge's cut cells);
+  every cell (delegated to the memoized
+  :func:`~repro.geometry.domain.supersampled_open_fractions`);
 * ``project_out(x, y)`` -- last-resort positional rescue for particles
   the bounded reflection iteration failed to expel;
 * ``to_config_dict()`` / :func:`body_from_dict` -- snapshot round-trip.
@@ -31,29 +32,8 @@ from typing import Tuple
 import numpy as np
 
 from repro.errors import GeometryError
-from repro.geometry.domain import Domain
+from repro.geometry.domain import Domain, supersampled_open_fractions
 from repro.geometry.wedge import Wedge
-
-
-def supersampled_open_fractions(
-    body, domain: Domain, supersample: int = 16
-) -> np.ndarray:
-    """Open (gas-accessible) area fraction of every cell for any body.
-
-    The same vectorized probe grid the wedge uses: each cell is sampled
-    at ``supersample**2`` interior points against ``body.inside``.
-    """
-    if supersample < 2:
-        raise GeometryError("supersample must be >= 2")
-    body.validate_in(domain)
-    s = (np.arange(supersample) + 0.5) / supersample
-    ox, oy = np.meshgrid(s, s, indexing="ij")  # (S, S)
-    ci = np.arange(domain.nx, dtype=np.float64)
-    cj = np.arange(domain.ny, dtype=np.float64)
-    px = ci[:, None, None, None] + ox[None, None, :, :]
-    py = cj[None, :, None, None] + oy[None, None, :, :]
-    solid = body.inside(px, py)
-    return 1.0 - solid.mean(axis=(2, 3))
 
 
 @dataclass(frozen=True)
@@ -144,7 +124,7 @@ class Cylinder:
     def open_volume_fractions(
         self, domain: Domain, supersample: int = 16
     ) -> np.ndarray:
-        """Per-cell open-area fractions (supersampled probe grid)."""
+        """Per-cell open-area fractions (memoized, read-only)."""
         return supersampled_open_fractions(self, domain, supersample)
 
     def project_out(
@@ -266,7 +246,7 @@ class Step:
     def open_volume_fractions(
         self, domain: Domain, supersample: int = 16
     ) -> np.ndarray:
-        """Per-cell open-area fractions (supersampled probe grid)."""
+        """Per-cell open-area fractions (memoized, read-only)."""
         return supersampled_open_fractions(self, domain, supersample)
 
     def project_out(

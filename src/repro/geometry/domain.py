@@ -14,6 +14,7 @@ this one).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -109,3 +110,33 @@ class Domain:
     def exited_downstream(self, x: np.ndarray) -> np.ndarray:
         """Mask of particles past the soft downstream (sink) boundary."""
         return np.asarray(x) >= self.nx
+
+
+@functools.lru_cache(maxsize=32)
+def supersampled_open_fractions(
+    body, domain: Domain, supersample: int = 16
+) -> np.ndarray:
+    """Open (gas-accessible) area fraction of every cell for any body.
+
+    Returns a read-only ``(nx, ny)`` float array in [0, 1]: 1 for cells
+    fully in the flow, 0 for cells swallowed by the body, intermediate
+    for cut cells.  Each cell is probed at ``supersample**2`` interior
+    points against ``body.inside`` (vectorized).  Bodies and domains are
+    frozen dataclasses, so the result is memoized on the
+    ``(body, domain, supersample)`` key: every engine and every restore
+    in a process shares one computation per geometry.
+    """
+    if supersample < 2:
+        raise GeometryError("supersample must be >= 2")
+    body.validate_in(domain)
+    # Subcell probe offsets (cell-relative, centered).
+    s = (np.arange(supersample) + 0.5) / supersample
+    ox, oy = np.meshgrid(s, s, indexing="ij")  # (S, S)
+    ci = np.arange(domain.nx, dtype=np.float64)
+    cj = np.arange(domain.ny, dtype=np.float64)
+    # Probe coordinates: (nx, ny, S, S) via broadcasting.
+    px = ci[:, None, None, None] + ox[None, None, :, :]
+    py = cj[None, :, None, None] + oy[None, None, :, :]
+    fractions = 1.0 - body.inside(px, py).mean(axis=(2, 3))
+    fractions.setflags(write=False)
+    return fractions

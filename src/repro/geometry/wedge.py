@@ -17,9 +17,10 @@ flow meets the floor -- the features of figures 1-6.
 Cells cut by the ramp get **fractional volumes**: "where cells are
 divided by the wedge special allowance must be made for the fractional
 cell volume when employing the selection rule (equation (8)) and in
-computing the time average cell density."  Volumes are computed once at
-construction by supersampling each cell (vectorized; 16x16 subcells,
-<0.5% area error) so the machinery generalizes to other bodies.
+computing the time average cell density."  Volumes come from the
+body-agnostic supersampling of
+:func:`repro.geometry.domain.supersampled_open_fractions` (vectorized;
+16x16 subcells, <0.5% area error), computed once per process.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.errors import GeometryError
-from repro.geometry.domain import Domain
+from repro.geometry.domain import Domain, supersampled_open_fractions
 
 
 @dataclass(frozen=True)
@@ -142,26 +143,8 @@ class Wedge:
     def open_volume_fractions(
         self, domain: Domain, supersample: int = 16
     ) -> np.ndarray:
-        """Open (gas-accessible) area fraction of every cell.
-
-        Returns an ``(nx, ny)`` float array in [0, 1]: 1 for cells fully
-        in the flow, 0 for cells swallowed by the wedge, intermediate
-        for cut cells.  Computed by vectorized supersampling: each cell
-        is probed at ``supersample**2`` interior points.
-        """
-        if supersample < 2:
-            raise GeometryError("supersample must be >= 2")
-        self.validate_in(domain)
-        # Subcell probe offsets (cell-relative, centered).
-        s = (np.arange(supersample) + 0.5) / supersample
-        ox, oy = np.meshgrid(s, s, indexing="ij")  # (S, S)
-        ci = np.arange(domain.nx, dtype=np.float64)
-        cj = np.arange(domain.ny, dtype=np.float64)
-        # Probe coordinates: (nx, ny, S, S) via broadcasting.
-        px = ci[:, None, None, None] + ox[None, None, :, :]
-        py = cj[None, :, None, None] + oy[None, None, :, :]
-        solid = self.inside(px, py)
-        return 1.0 - solid.mean(axis=(2, 3))
+        """Per-cell open-area fractions (memoized, read-only)."""
+        return supersampled_open_fractions(self, domain, supersample)
 
     def project_out(
         self, x: np.ndarray, y: np.ndarray

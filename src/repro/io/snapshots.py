@@ -12,7 +12,10 @@ A snapshot captures everything needed to continue a run bit-for-bit:
 Snapshots are single ``.npz`` files; the configuration is stored as a
 small JSON blob inside the archive.  ``load_simulation`` reconstructs a
 :class:`~repro.core.simulation.Simulation` whose subsequent steps are
-identical to the original run's (tested).
+identical to the original run's (tested).  A restore builds its state
+from the archive alone: it never seeds a population only to replace it,
+and the cut-cell volume fractions come from the per-process memo
+(:func:`repro.geometry.domain.supersampled_open_fractions`).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from repro.core.particles import ParticleArrays
+from repro.core.sampling import SAMPLER_FIELDS
 from repro.core.simulation import Simulation, SimulationConfig
 from repro.errors import CheckpointCorruptionError, ConfigurationError
 from repro.geometry.bodies import body_from_dict
@@ -42,6 +46,9 @@ from repro.physics.molecules import MolecularModel
 FORMAT_VERSION = 3
 
 PathLike = Union[str, pathlib.Path]
+
+#: Surface-load tallies archived next to the sampler moments.
+_SURFACE_FIELDS = ("_impulse_x", "_impulse_y", "_hits")
 
 
 def _config_to_json(config: SimulationConfig) -> str:
@@ -93,6 +100,10 @@ def _config_to_json(config: SimulationConfig) -> str:
         blob["wall_model"] = config.wall_model
     if config.accommodation != 1.0:
         blob["accommodation"] = config.accommodation
+    if config.model.internal_exchange_probability != 1.0:
+        blob["model"]["internal_exchange_probability"] = (
+            config.model.internal_exchange_probability
+        )
     if config.scenario is not None:
         blob["scenario"] = config.scenario
     return json.dumps(blob)
@@ -105,6 +116,9 @@ def _config_from_json(blob: str) -> SimulationConfig:
         alpha=float("inf") if alpha == "inf" else float(alpha),
         rotational_dof=int(d["model"]["rotational_dof"]),
         mass=float(d["model"]["mass"]),
+        internal_exchange_probability=float(
+            d["model"].get("internal_exchange_probability", 1.0)
+        ),
         name=d["model"]["name"],
     )
     return SimulationConfig(
@@ -140,16 +154,31 @@ def _pack_particles(prefix: str, parts: ParticleArrays) -> dict:
 
 
 def _unpack_particles(prefix: str, data) -> ParticleArrays:
+    # Every ``NpzFile[...]`` read returns a fresh, writable array.
     return ParticleArrays(
-        x=data[f"{prefix}_x"].copy(),
-        y=data[f"{prefix}_y"].copy(),
-        u=data[f"{prefix}_u"].copy(),
-        v=data[f"{prefix}_v"].copy(),
-        w=data[f"{prefix}_w"].copy(),
-        rot=data[f"{prefix}_rot"].copy(),
-        perm=data[f"{prefix}_perm"].copy(),
-        cell=data[f"{prefix}_cell"].copy(),
+        x=data[f"{prefix}_x"],
+        y=data[f"{prefix}_y"],
+        u=data[f"{prefix}_u"],
+        v=data[f"{prefix}_v"],
+        w=data[f"{prefix}_w"],
+        rot=data[f"{prefix}_rot"],
+        perm=data[f"{prefix}_perm"],
+        cell=data[f"{prefix}_cell"],
     )
+
+
+def _pack_tallies(prefix: str, acc, fields) -> dict:
+    """Archive members ``<prefix>_steps`` then ``<prefix><field>``."""
+    arrays = {f"{prefix}_steps": np.array(acc._steps)}
+    arrays.update((prefix + name, getattr(acc, name)) for name in fields)
+    return arrays
+
+
+def _unpack_tallies(prefix: str, acc, fields, data) -> None:
+    """Refill ``acc`` in place from the members :func:`_pack_tallies` wrote."""
+    acc._steps = int(data[f"{prefix}_steps"])
+    for name in fields:
+        getattr(acc, name)[:] = data[prefix + name]
 
 
 def save_simulation(
@@ -201,13 +230,7 @@ def save_simulation(
         "rng_state_json": np.array(rng_state),
         "step_count": np.array(sim.step_count),
         "plunger_position": np.array(sim.boundaries.plunger.position),
-        "sampler_steps": np.array(sim.sampler.steps),
-        "sampler_count": sim.sampler._count,
-        "sampler_mu": sim.sampler._mu,
-        "sampler_mv": sim.sampler._mv,
-        "sampler_mw": sim.sampler._mw,
-        "sampler_e_trans": sim.sampler._e_trans,
-        "sampler_e_rot": sim.sampler._e_rot,
+        **_pack_tallies("sampler", sim.sampler, SAMPLER_FIELDS),
     }
     # v3: the live slab edges, so a checkpoint taken after a rebalance
     # restores the non-uniform decomposition instead of re-splitting
@@ -219,10 +242,7 @@ def save_simulation(
     if sim.surface is not None:
         # v2: the surface-load accumulators ride along too (v1 dropped
         # them, so restored runs silently lost their drag averages).
-        arrays["surface_steps"] = np.array(sim.surface._steps)
-        arrays["surface_impulse_x"] = sim.surface._impulse_x
-        arrays["surface_impulse_y"] = sim.surface._impulse_y
-        arrays["surface_hits"] = sim.surface._hits
+        arrays.update(_pack_tallies("surface", sim.surface, _SURFACE_FIELDS))
     arrays.update(_pack_particles("flow", sim.particles))
     arrays.update(_pack_particles("res", sim.reservoir.particles))
     if compress:
@@ -274,23 +294,14 @@ def save_ensemble(engine, path: PathLike, compress: bool = True) -> None:
         "starts": np.asarray(engine.starts, dtype=np.int64),
         "step_count": np.array(engine.step_count),
         "plunger_position": np.array(engine.boundaries.plunger.position),
-        "sampler_steps": np.array(engine.sampler.steps),
-        "sampler_count": engine.sampler._count,
-        "sampler_mu": engine.sampler._mu,
-        "sampler_mv": engine.sampler._mv,
-        "sampler_mw": engine.sampler._mw,
-        "sampler_e_trans": engine.sampler._e_trans,
-        "sampler_e_rot": engine.sampler._e_rot,
+        **_pack_tallies("sampler", engine.sampler, SAMPLER_FIELDS),
     }
     arrays.update(_pack_particles("flow", engine.particles))
     for r, res in enumerate(engine.reservoirs):
         arrays.update(_pack_particles(f"res{r}", res.particles))
     if engine.surfaces is not None:
         for r, surf in enumerate(engine.surfaces):
-            arrays[f"surface{r}_steps"] = np.array(surf._steps)
-            arrays[f"surface{r}_impulse_x"] = surf._impulse_x
-            arrays[f"surface{r}_impulse_y"] = surf._impulse_y
-            arrays[f"surface{r}_hits"] = surf._hits
+            arrays.update(_pack_tallies(f"surface{r}", surf, _SURFACE_FIELDS))
     if compress:
         np.savez_compressed(path, **arrays)
     else:
@@ -349,13 +360,7 @@ def load_ensemble(path: PathLike):
             eng.sampler = EnsembleSampler(
                 config.domain, len(replica_ids), eng.volume_fractions
             )
-            eng.sampler._steps = int(data["sampler_steps"])
-            eng.sampler._count[:] = data["sampler_count"]
-            eng.sampler._mu[:] = data["sampler_mu"]
-            eng.sampler._mv[:] = data["sampler_mv"]
-            eng.sampler._mw[:] = data["sampler_mw"]
-            eng.sampler._e_trans[:] = data["sampler_e_trans"]
-            eng.sampler._e_rot[:] = data["sampler_e_rot"]
+            _unpack_tallies("sampler", eng.sampler, SAMPLER_FIELDS, data)
             if isinstance(config.wedge, Wedge):
                 from repro.core.surface import SurfaceSampler
 
@@ -364,10 +369,9 @@ def load_ensemble(path: PathLike):
                 ]
                 for r, surf in enumerate(eng.surfaces):
                     if f"surface{r}_steps" in data:
-                        surf._steps = int(data[f"surface{r}_steps"])
-                        surf._impulse_x[:] = data[f"surface{r}_impulse_x"]
-                        surf._impulse_y[:] = data[f"surface{r}_impulse_y"]
-                        surf._hits[:] = data[f"surface{r}_hits"]
+                        _unpack_tallies(
+                            f"surface{r}", surf, _SURFACE_FIELDS, data
+                        )
             else:
                 eng.surfaces = None
             eng.step_count = int(data["step_count"])
@@ -441,34 +445,19 @@ def load_simulation(
                 if "slab_edges" in data
                 else None
             )
-            config = _config_from_json(str(data["config_json"]))
-            sim = Simulation(config)
-            sim.particles = _unpack_particles("flow", data)
-            sim.reservoir.particles = _unpack_particles("res", data)
-            if sim.hotpath:
-                # The restored populations must take the same kernels as
-                # the saved run (scratch-enabled hot path vs legacy
-                # differ in memory order after in-place reorders), or
-                # continuation would not be bitwise identical.
-                sim.particles.enable_scratch()
-                sim.reservoir.particles.enable_scratch()
+            sim = Simulation._restore_shell(
+                _config_from_json(str(data["config_json"])),
+                _unpack_particles("flow", data),
+                _unpack_particles("res", data),
+            )
             sim.step_count = int(data["step_count"])
             sim.boundaries.plunger.position = float(data["plunger_position"])
             sim.rng.bit_generator.state = json.loads(
                 str(data["rng_state_json"])
             )
-            sim.sampler._steps = int(data["sampler_steps"])
-            sim.sampler._count[:] = data["sampler_count"]
-            sim.sampler._mu[:] = data["sampler_mu"]
-            sim.sampler._mv[:] = data["sampler_mv"]
-            sim.sampler._mw[:] = data["sampler_mw"]
-            sim.sampler._e_trans[:] = data["sampler_e_trans"]
-            sim.sampler._e_rot[:] = data["sampler_e_rot"]
+            _unpack_tallies("sampler", sim.sampler, SAMPLER_FIELDS, data)
             if sim.surface is not None and "surface_steps" in data:
-                sim.surface._steps = int(data["surface_steps"])
-                sim.surface._impulse_x[:] = data["surface_impulse_x"]
-                sim.surface._impulse_y[:] = data["surface_impulse_y"]
-                sim.surface._hits[:] = data["surface_hits"]
+                _unpack_tallies("surface", sim.surface, _SURFACE_FIELDS, data)
     except FileNotFoundError:
         raise
     except ConfigurationError:

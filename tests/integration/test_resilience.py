@@ -15,9 +15,13 @@ The contract under test (ROADMAP: fault-tolerant execution):
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
+from repro.core import simulation as simulation_module
+from repro.core.reservoir import Reservoir
 from repro.core.simulation import Simulation, SimulationConfig
 from repro.errors import (
     CheckpointCorruptionError,
@@ -386,6 +390,85 @@ class TestSupervisedRecovery:
         )
         resumed.close()
         ref.close()
+
+
+def _refuse_to_seed(*_args, **_kwargs):
+    raise AssertionError("a checkpoint restore must not seed particles")
+
+
+@contextlib.contextmanager
+def _seeding_forbidden():
+    """Make flow seeding and reservoir deposits raise inside the block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation_module, "seed_flow_particles", _refuse_to_seed)
+        mp.setattr(Reservoir, "deposit", _refuse_to_seed)
+        yield
+
+
+class TestRestoreNeverSeeds:
+    """Every restore path builds its state from the archive alone."""
+
+    def _checkpoint(self, tmp_path, workers):
+        sim = _inline_sim(seed=21, workers=workers)
+        sim.run(6)
+        path = tmp_path / "ckpt.npz"
+        save_simulation(sim, path)
+        return sim, path
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_load_simulation(self, tmp_path, workers):
+        sim, path = self._checkpoint(tmp_path, workers=2)
+        with _seeding_forbidden():
+            back = load_simulation(path, workers=workers, processes=False)
+        assert back.backend.n_workers == workers
+        back.gather()
+        assert back.particles.n == sim.particles.n
+        assert np.array_equal(back.particles.x, sim.particles.x)
+        back.close()
+        sim.close()
+
+    def test_supervised_resume(self, tmp_path):
+        run = SupervisedRun(
+            _inline_sim(seed=21),
+            tmp_path / "run",
+            checkpoint_every=5,
+            audit_every=0,
+            backoff_base=0.0,
+        )
+        run.run_schedule([(10, False)], max_steps=6)
+        run.close()
+        with _seeding_forbidden():
+            resumed = SupervisedRun.resume(tmp_path / "run")
+        assert 0 < resumed.sim.step_count <= 6
+        resumed.run_schedule()
+        assert resumed.sim.step_count == 10
+        resumed.close()
+
+    def test_supervised_recovery(self, tmp_path, monkeypatch):
+        from repro.resilience import supervisor
+
+        real_load = supervisor.load_simulation
+
+        def guarded_load(*args, **kwargs):
+            with _seeding_forbidden():
+                return real_load(*args, **kwargs)
+
+        # Stepping deposits outflow into the reservoir, so only the
+        # restore itself runs with seeding forbidden.
+        monkeypatch.setattr(supervisor, "load_simulation", guarded_load)
+        plan = FaultPlan([FaultSpec("exception", step=7, shard=0)])
+        run = SupervisedRun(
+            _inline_sim(plan=plan),
+            tmp_path / "run",
+            checkpoint_every=5,
+            audit_every=0,
+            backoff_base=0.0,
+            fault_plan=plan,
+        )
+        run.run_schedule([(10, False)])
+        assert run.retries == 1
+        assert run.sim.step_count == 10
+        run.close()
 
 
 @pytest.mark.sharded

@@ -1,11 +1,17 @@
 """Integration tests for checkpoint/restore."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.simulation import Simulation
 from repro.errors import ConfigurationError
-from repro.io.snapshots import load_simulation, save_simulation
+from repro.io.snapshots import (
+    _config_to_json,
+    load_simulation,
+    save_simulation,
+)
 
 
 class TestSnapshotRoundtrip:
@@ -61,3 +67,31 @@ class TestSnapshotRoundtrip:
         np.savez_compressed(path, **arrays)
         with pytest.raises(ConfigurationError):
             load_simulation(path)
+
+    def test_internal_exchange_probability_survives_restore(
+        self, small_config, tmp_path
+    ):
+        # A restore must resume the same collision model: the partial
+        # internal-relaxation knob rides in the config blob.
+        cfg = dataclasses.replace(
+            small_config,
+            model=dataclasses.replace(
+                small_config.model, internal_exchange_probability=0.5
+            ),
+        )
+        sim = Simulation(cfg)
+        sim.run(5)
+        path = tmp_path / "relax.npz"
+        save_simulation(sim, path)
+        restored = load_simulation(path)
+        assert restored.config.model.internal_exchange_probability == 0.5
+        sim.run(5)
+        restored.run(5)
+        for col in ("x", "y", "u", "v", "w", "rot"):
+            assert np.array_equal(
+                getattr(sim.particles, col), getattr(restored.particles, col)
+            ), col
+        # Default-model blobs stay byte-identical to older archives.
+        assert "internal_exchange_probability" not in _config_to_json(
+            small_config
+        )

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, GeometryError
-from repro.geometry.domain import Domain
+from repro.geometry.bodies import Cylinder, Step
+from repro.geometry.domain import Domain, supersampled_open_fractions
 from repro.geometry.reflect import (
     reflect_diffuse_axis,
     reflect_plane,
@@ -158,6 +159,55 @@ class TestWedge:
             np.array([1.0]), np.array([1.0]), np.array([0.1]), np.array([0.0])
         )
         assert x[0] == 1.0 and y[0] == 1.0
+
+
+def _probe_fractions(body, domain, supersample):
+    """Uncached reference: the same probe grid, one cell column at a time."""
+    s = (np.arange(supersample) + 0.5) / supersample
+    ox, oy = np.meshgrid(s, s, indexing="ij")
+    out = np.empty(domain.shape)
+    for i in range(domain.nx):
+        py = np.arange(domain.ny)[:, None, None] + oy[None]
+        px = np.broadcast_to(i + ox[None], py.shape)
+        out[i] = 1.0 - body.inside(px, py).mean(axis=(1, 2))
+    return out
+
+
+class TestOpenFractionMemo:
+    """One memoized, read-only volume-fraction function for every body."""
+
+    BODIES = [
+        pytest.param(Wedge(x_leading=10, base=10, angle_deg=30), id="wedge"),
+        pytest.param(Cylinder(cx=15.0, cy=10.0, radius=5.0), id="cylinder"),
+        pytest.param(Step(x_leading=12.0, height=6.0, length=9.0), id="step"),
+    ]
+
+    @pytest.mark.parametrize("body", BODIES)
+    def test_read_only_and_equal_to_uncached(self, body):
+        d = Domain(40, 20)
+        vf = body.open_volume_fractions(d)
+        assert not vf.flags.writeable
+        with pytest.raises(ValueError):
+            vf[0, 0] = 0.5
+        assert np.array_equal(vf, _probe_fractions(body, d, 16))
+        assert body.open_volume_fractions(d) is vf
+
+    def test_distinct_keys_get_distinct_entries(self):
+        d, d2 = Domain(40, 20), Domain(41, 20)
+        w, w2 = Wedge(x_leading=10, base=10), Wedge(x_leading=11, base=10)
+        vf = supersampled_open_fractions(w, d, 16)
+        assert supersampled_open_fractions(w, d2, 16) is not vf
+        assert supersampled_open_fractions(w2, d, 16) is not vf
+        assert supersampled_open_fractions(w, d, 8) is not vf
+        # Equal frozen parameters share the entry.
+        assert supersampled_open_fractions(
+            Wedge(x_leading=10, base=10), Domain(40, 20), 16
+        ) is vf
+        # Same parameters, different body kind: never confused.
+        step = Step(x_leading=10.0, height=5.0, length=10.0)
+        assert not np.array_equal(
+            supersampled_open_fractions(step, d, 16), vf
+        )
 
 
 class TestAxisReflection:
